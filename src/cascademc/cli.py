@@ -22,6 +22,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -36,6 +37,9 @@ from .sampling import SampleSet, SisConfig, run_campaign
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
+
+# replicate number in a sample file name written by run
+_REP_NAME = re.compile(r"_rep(\d+)\.ndjson$")
 
 
 class ConfigError(Exception):
@@ -76,6 +80,23 @@ def _float_list(value, where: str) -> list[float]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list of numbers")
     return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _eta_tag(eta: float) -> str:
+    """The eta part of the file names of a campaign's outputs."""
+    return f"eta{eta:g}"
+
+
+def _check_eta_tags(eta_list: list[float], where: str) -> None:
+    """Reject etas whose output files would share a name (and overwrite)."""
+    seen: dict[str, int] = {}
+    for i, eta in enumerate(eta_list):
+        j = seen.setdefault(_eta_tag(eta), i)
+        if j != i:
+            raise ConfigError(
+                f"{where}[{j}] = {eta_list[j]!r} and {where}[{i}] = {eta!r} "
+                f"both name their output files {_eta_tag(eta)}"
+            )
 
 
 class RunConfig:
@@ -124,6 +145,7 @@ class RunConfig:
         for i, eta in enumerate(self.eta_list):
             if eta < 1.0:
                 raise ConfigError(f"config.eta_list[{i}] must be >= 1, got {eta!r}")
+        _check_eta_tags(self.eta_list, "config.eta_list")
         self.n_samples = _integer(_need(raw, "n_samples", "config"), "config.n_samples", 1)
         self.m_max = _integer(raw.get("m_max", 1), "config.m_max", 1)
         self.y0_list = _float_list(_need(raw, "y0_list", "config"), "config.y0_list")
@@ -195,6 +217,7 @@ def _load_config(path_str: str, args: argparse.Namespace) -> RunConfig:
         for eta in cfg.eta_list:
             if eta < 1.0:
                 raise ConfigError(f"--eta must be >= 1, got {eta!r}")
+        _check_eta_tags(cfg.eta_list, "--eta")
     if getattr(args, "n_samples", None) is not None:
         cfg.n_samples = _integer(args.n_samples, "--n-samples", 1)
     if getattr(args, "y0", None):
@@ -304,7 +327,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 workers=cfg.workers,
                 dispatch_cache=cache if cfg.workers == 1 else None,
             )
-            fname = samples_dir / f"eta{eta:g}_rep{rep}.ndjson"
+            fname = samples_dir / f"{_eta_tag(eta)}_rep{rep}.ndjson"
             ss.write(fname)
             outputs.append(fname)
             est, qrows = _campaign_products(ss, cfg.y0_list, cfg.alpha_list)
@@ -398,7 +421,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             path_budget=cfg.path_budget,
             dispatch_cache=cache,
         )
-        golden_path = out_dir / f"golden_eta{eta:g}.json"
+        golden_path = out_dir / f"golden_{_eta_tag(eta)}.json"
         write_golden(enum, golden_path, cfg.y0_list)
         outputs.append(golden_path)
         for y0 in cfg.y0_list:
@@ -446,11 +469,19 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir) if args.output_dir else samples_dir.parent / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    estimates: list[Estimate] = []
-    quantile_rows: list[dict] = []
+    # campaigns in the order run writes them for an ascending eta_list: by
+    # eta, then by the replicate number in the file name; one file is held
+    # in memory at a time
+    campaigns = []
     for f in files:
         ss = SampleSet.read(f)
-        est, qrows = _campaign_products(ss, y0_list, alpha_list)
+        rep = _REP_NAME.search(f.name)
+        order = (ss.eta, int(rep.group(1)) if rep else -1, f.name)
+        campaigns.append((order, _campaign_products(ss, y0_list, alpha_list)))
+    campaigns.sort(key=lambda c: c[0])
+    estimates: list[Estimate] = []
+    quantile_rows: list[dict] = []
+    for _, (est, qrows) in campaigns:
         estimates.extend(est)
         quantile_rows.extend(qrows)
 
@@ -458,7 +489,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     export_csv(estimates, est_path)
     q_path = out_dir / "quantiles.csv"
     _write_quantiles(q_path, quantile_rows)
-    echo = {"samples": [f.name for f in files], "y0_list": y0_list, "alpha_list": alpha_list}
+    echo = {"samples": [order[2] for order, _ in campaigns], "y0_list": y0_list, "alpha_list": alpha_list}
     _write_manifest(out_dir, "analyze", echo, [est_path, q_path])
     print(f"analysis complete: estimates for {len(files)} sample files in {out_dir}")
     return EXIT_OK

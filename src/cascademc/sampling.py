@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,8 +30,14 @@ from .masks import mask_from_ordinals, ordinals_from_mask
 from .rng import PathStream, path_keys, stage_uniforms
 
 _FORMAT_VERSION = 1
-# row-slice bound inside one stage group; keeps peak memory flat without
-# affecting any per-path result (rows are independent)
+_ROW_KEYS = frozenset(
+    ("n", "shed_mw", "log_p_c", "log_q_c", "weight", "truncated", "tripped")
+)
+# most distinct row texts whose parse one read keeps
+_READ_MEMO = 4096
+# row-slice bound inside one stage group and per block of written rows;
+# keeps peak memory flat without affecting any per-path result (rows are
+# independent)
 _ROW_CHUNK = 8192
 
 
@@ -199,43 +206,91 @@ class SampleSet:
     # newline-delimited serialization: one header object, one object per path
 
     def write(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            header = {"kind": "sample_set", "version": _FORMAT_VERSION}
-            header.update(self.meta)
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for i in range(len(self)):
-                row = {
-                    "n": int(self.n[i]),
-                    "shed_mw": float(self.shed_mw[i]),
-                    "log_p_c": float(self.log_p_c[i]),
-                    "log_q_c": float(self.log_q_c[i]),
-                    "weight": float(self.weight[i]),
-                    "truncated": bool(self.truncated[i]),
-                    "tripped": list(ordinals_from_mask(self.final_masks[i])),
-                }
-                fh.write(json.dumps(row) + "\n")
+        """Write the header and one row per path, replacing ``path`` atomically.
+
+        Each row is exactly ``json.dumps`` of its dict with the keys in the
+        order n, shed_mw, log_p_c, log_q_c, weight, truncated, tripped.
+        Rows are rendered in ``_ROW_CHUNK`` blocks from the text of each
+        distinct value in the block.  The file is written to a temporary
+        name in the same directory and renamed into place, so a failed
+        write leaves no partial file behind.
+        """
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+        fh = open(tmp, "x")  # never takes over a file that exists
+        try:
+            with fh:
+                header = {"kind": "sample_set", "version": _FORMAT_VERSION}
+                header.update(self.meta)
+                fh.write(json.dumps(header, sort_keys=True) + "\n")
+                for lo in range(0, len(self), _ROW_CHUNK):
+                    fh.write(self._render_rows(lo, lo + _ROW_CHUNK))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+
+    def _render_rows(self, lo: int, hi: int) -> str:
+        masks = self.final_masks[lo:hi]
+        tripped = {m: json.dumps(list(ordinals_from_mask(m))) for m in set(masks)}
+        return "".join(
+            f'{{"n": {n}, "shed_mw": {s}, "log_p_c": {lp}, "log_q_c": {lq}, '
+            f'"weight": {w}, "truncated": {_JSON_BOOL[t]}, "tripped": {tripped[m]}}}\n'
+            for n, s, lp, lq, w, t, m in zip(
+                np.asarray(self.n[lo:hi], dtype=np.int64).tolist(),
+                _float_texts(self.shed_mw[lo:hi]),
+                _float_texts(self.log_p_c[lo:hi]),
+                _float_texts(self.log_q_c[lo:hi]),
+                _float_texts(self.weight[lo:hi]),
+                np.asarray(self.truncated[lo:hi], dtype=bool).tolist(),
+                masks,
+            )
+        )
 
     @classmethod
     def read(cls, path: str | Path) -> "SampleSet":
+        """Read a file written by ``write``.
+
+        Raises ValueError naming the file when it is not a sample-set file
+        of version ``_FORMAT_VERSION``, when a row is not valid JSON or does
+        not have exactly the ``_ROW_KEYS`` keys, or when the number of rows
+        differs from the header's ``n_samples`` (a truncated file).
+        """
         with open(path) as fh:
-            header = json.loads(fh.readline())
-            if header.get("kind") != "sample_set":
+            try:
+                header = json.loads(fh.readline())
+            except json.JSONDecodeError:
+                header = None
+            if not isinstance(header, dict) or header.get("kind") != "sample_set":
                 raise ValueError(f"{path} is not a sample-set file")
+            if header.get("version") != _FORMAT_VERSION:
+                raise ValueError(
+                    f"{path}: sample-set version {header.get('version')!r}, "
+                    f"expected {_FORMAT_VERSION}"
+                )
             meta = {
                 k: v for k, v in header.items() if k not in ("kind", "version")
             }
-            n, shed, lp, lq, w, tr, masks = [], [], [], [], [], [], []
-            for line in fh:
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                n.append(row["n"])
-                shed.append(row["shed_mw"])
-                lp.append(row["log_p_c"])
-                lq.append(row["log_q_c"])
-                w.append(row["weight"])
-                tr.append(row["truncated"])
-                masks.append(mask_from_ordinals(row["tripped"]))
+            # campaign rows repeat heavily (a ring3 file of 1e5 rows has 15
+            # distinct lines), so each distinct line is parsed once; the
+            # bound keeps memory flat when rows do not repeat
+            parsed: dict[str, tuple] = {}
+            rows = []
+            for lineno, line in enumerate(fh, start=2):
+                row = parsed.get(line)
+                if row is None:
+                    if not line.strip():
+                        continue
+                    row = _parse_row(line, path, lineno)
+                    if len(parsed) < _READ_MEMO:
+                        parsed[line] = row
+                rows.append(row)
+        want = meta.get("n_samples")
+        if len(rows) != want:
+            raise ValueError(
+                f"{path}: {len(rows)} path rows, header says n_samples = {want!r}"
+            )
+        n, shed, lp, lq, w, tr, masks = zip(*rows) if rows else ((),) * 7
         return cls(
             meta=meta,
             n=np.asarray(n, dtype=np.int32),
@@ -244,8 +299,39 @@ class SampleSet:
             log_q_c=np.asarray(lq, dtype=float),
             weight=np.asarray(w, dtype=float),
             truncated=np.asarray(tr, dtype=bool),
-            final_masks=masks,
+            final_masks=list(masks),
         )
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _float_texts(col) -> list[str]:
+    """``json.dumps`` of every value of a float column, one call per
+    distinct value.  Values are told apart by their bits, so -0.0 keeps its
+    sign."""
+    bits = np.ascontiguousarray(col, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = np.array(
+        [json.dumps(v) for v in distinct.view(np.float64).tolist()], dtype=object
+    )
+    return texts[inverse].tolist()
+
+
+def _parse_row(line: str, path, lineno: int) -> tuple:
+    try:
+        row = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {lineno} is not valid JSON ({exc.msg})") from None
+    if not isinstance(row, dict) or row.keys() != _ROW_KEYS:
+        keys = sorted(row) if isinstance(row, dict) else type(row).__name__
+        raise ValueError(
+            f"{path}: line {lineno} has keys {keys}, expected {sorted(_ROW_KEYS)}"
+        )
+    return (
+        row["n"], row["shed_mw"], row["log_p_c"], row["log_q_c"], row["weight"],
+        row["truncated"], mask_from_ordinals(row["tripped"]),
+    )
 
 
 # ----------------------------------------------------------------------

@@ -93,6 +93,18 @@ def test_flag_override_validation(tmp_path, capsys):
     assert "--eta" in capsys.readouterr().err
 
 
+def test_etas_with_one_file_name_are_rejected(tmp_path, capsys):
+    # eta{eta:g} names both campaigns eta1: the second would overwrite the first
+    cfg = write_config(tmp_path, eta_list=[1.0, 1.0000001], output_dir=str(tmp_path / "out"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config.eta_list[0] = 1.0 and config.eta_list[1] = 1.0000001" in err
+    assert not (tmp_path / "out").exists()
+    cfg = write_config(tmp_path)
+    assert main(["run", "--config", str(cfg), "--eta", "2", "1", "2.0000001"]) == EXIT_CONFIG
+    assert "--eta[0] = 2.0 and --eta[2] = 2.0000001" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # run command
 
@@ -207,6 +219,19 @@ def test_analyze_recomputes_at_new_thresholds(tmp_path):
     assert {r[1] for r in rows[1:]} == {"50.0", "0.0"}
     manifest = json.loads((dest / "manifest.json").read_text())
     assert manifest["command"] == "analyze"
+
+
+@pytest.mark.parametrize("over", [dict(eta_list=[2.0, 10.0]), dict(eta_list=[1.0], m_max=11)])
+def test_analyze_orders_campaigns_like_run(tmp_path, over):
+    # file names sort eta10 before eta2 and rep10 before rep2
+    out = run_study(tmp_path, n_samples=16, **over)
+    dest = tmp_path / "analysis"
+    assert main([
+        "analyze", "--samples", str(out / "samples"),
+        "--y0", "30", "80", "--alpha", "0.9", "--output-dir", str(dest),
+    ]) == EXIT_OK
+    for name in ("estimates.csv", "quantiles.csv"):
+        assert (dest / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_analyze_requires_samples_and_thresholds(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Sampler behavior: weights, determinism, serialization, truncation."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,10 @@ from cascademc import (
 )
 from cascademc.cascade import SystemState
 from cascademc.fixtures import fixture_names, load_fixture
+from cascademc.masks import ordinals_from_mask
 from cascademc.rng import PathStream
+from cascademc import sampling
+from cascademc.sampling import _ROW_CHUNK
 
 
 FIXTURES = {name: load_fixture(name) for name in fixture_names()}
@@ -236,11 +240,128 @@ def test_ndjson_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def reference_write(ss, path):
+    """The format's definition: the header, then json.dumps of one dict per
+    path row."""
+    with open(path, "w") as fh:
+        header = {"kind": "sample_set", "version": 1}
+        header.update(ss.meta)
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for i in range(len(ss)):
+            row = {
+                "n": int(ss.n[i]),
+                "shed_mw": float(ss.shed_mw[i]),
+                "log_p_c": float(ss.log_p_c[i]),
+                "log_q_c": float(ss.log_q_c[i]),
+                "weight": float(ss.weight[i]),
+                "truncated": bool(ss.truncated[i]),
+                "tripped": list(ordinals_from_mask(ss.final_masks[i])),
+            }
+            fh.write(json.dumps(row) + "\n")
+
+
+def edge_sample_set(rows=_ROW_CHUNK + 37):
+    """Rows cycling through float edge values and case300-size masks, over
+    more than one write block."""
+    edge = [-0.0, 0.0, 5e-324, 1e22, math.inf, -math.inf, math.nan, 0.1, -1.5e-7]
+    col = lambda shift: np.array([edge[(i + shift) % len(edge)] for i in range(rows)])
+    masks = [0, 1 << 411, (1 << 411) | (1 << 3) | 1, 1 << 7]
+    return SampleSet(
+        meta={"case": "hand", "eta": 2.0, "n_components": 412, "n_samples": rows, "seed": 1},
+        n=np.arange(rows, dtype=np.int32) % 5 + 1,
+        shed_mw=col(0),
+        log_p_c=col(1),
+        log_q_c=col(2),
+        weight=col(5),
+        truncated=np.arange(rows) % 3 == 0,
+        final_masks=[masks[i % len(masks)] for i in range(rows)],
+    )
+
+
+@pytest.mark.parametrize("memo", [sampling._READ_MEMO, 3])
+def test_write_matches_reference_bytes(tmp_path, monkeypatch, memo):
+    # a memo smaller than the file's 180 distinct rows must not change the read
+    monkeypatch.setattr(sampling, "_READ_MEMO", memo)
+    s = edge_sample_set()
+    s.write(tmp_path / "fast.ndjson")
+    reference_write(s, tmp_path / "reference.ndjson")
+    assert (tmp_path / "fast.ndjson").read_bytes() == (tmp_path / "reference.ndjson").read_bytes()
+    back = SampleSet.read(tmp_path / "fast.ndjson")
+    # NaN-aware and sign-aware column equality
+    for name in ("shed_mw", "log_p_c", "log_q_c", "weight"):
+        assert getattr(back, name).tobytes() == getattr(s, name).tobytes(), name
+    assert np.array_equal(back.n, s.n)
+    assert np.array_equal(back.truncated, s.truncated)
+    assert back.final_masks == s.final_masks
+
+
 def test_read_rejects_foreign_files(tmp_path):
     bad = tmp_path / "other.ndjson"
     bad.write_text('{"kind": "something_else"}\n')
     with pytest.raises(ValueError, match="not a sample-set"):
         SampleSet.read(bad)
+    bad.write_text("")
+    with pytest.raises(ValueError, match="not a sample-set"):
+        SampleSet.read(bad)
+
+
+def _set_version(lines):
+    header = json.loads(lines[0])
+    header["version"] = 2
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+
+
+def _drop_key(lines):
+    row = json.loads(lines[3])
+    del row["weight"]
+    lines[3] = json.dumps(row) + "\n"
+
+
+def _add_key(lines):
+    row = json.loads(lines[3])
+    row["extra"] = 1
+    lines[3] = json.dumps(row) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit,fragment",
+    [
+        (_set_version, "version 2"),
+        (_drop_key, "line 4 has keys"),
+        (_add_key, "line 4 has keys"),
+        (lambda lines: lines.pop(), "15 path rows, header says n_samples = 16"),
+        (lambda lines: lines.append(lines[-1]), "17 path rows"),
+        (lambda lines: lines.__setitem__(-1, lines[-1][:20]), "line 17 is not valid JSON"),
+        (lambda lines: lines.__setitem__(2, "[1, 2]\n"), "line 3 has keys list"),
+    ],
+    ids=["version", "missing_key", "extra_key", "short", "long", "cut_line", "not_object"],
+)
+def test_read_rejects_damaged_files(tmp_path, edit, fragment):
+    path = tmp_path / "samples.ndjson"
+    campaign("ring3", n=16).write(path)
+    lines = path.read_text().splitlines(keepends=True)
+    edit(lines)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=fragment) as info:
+        SampleSet.read(path)
+    assert str(path) in str(info.value)
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    s = edge_sample_set()
+    s.final_masks[-1] = "not a mask"  # fails in the second block
+    path = tmp_path / "samples.ndjson"
+    with pytest.raises(TypeError):
+        s.write(path)
+    assert list(tmp_path.iterdir()) == []
+    # an earlier file at the same path is kept whole
+    good = campaign("ring3", n=16)
+    good.write(path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        s.write(path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == before
 
 
 def test_shared_dispatch_cache_is_used():
