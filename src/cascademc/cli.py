@@ -452,6 +452,17 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_eta_rank(samples_dir: Path) -> dict[float, int]:
+    """Place of each eta in the eta_list of the run that wrote samples_dir,
+    read from the run's manifest.json beside it; empty if there is none."""
+    try:
+        doc = json.loads((samples_dir.parent / "manifest.json").read_text())
+        etas = doc["config"]["eta_list"] if doc["command"] == "run" else []
+        return {eta: i for i, eta in enumerate(etas)}
+    except (OSError, ValueError, KeyError, TypeError):
+        return {}
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     samples_dir = Path(args.samples)
     if not samples_dir.is_dir():
@@ -469,14 +480,16 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     out_dir = Path(args.output_dir) if args.output_dir else samples_dir.parent / "analysis"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # campaigns in the order run writes them for an ascending eta_list: by
-    # eta, then by the replicate number in the file name; one file is held
-    # in memory at a time
+    # campaigns in the order run writes them: by the eta's place in the
+    # run's eta_list (ascending eta without a run manifest), then by the
+    # replicate number in the file name; one file is held in memory at a time
+    eta_rank = _run_eta_rank(samples_dir)
     campaigns = []
     for f in files:
         ss = SampleSet.read(f)
         rep = _REP_NAME.search(f.name)
-        order = (ss.eta, int(rep.group(1)) if rep else -1, f.name)
+        order = (eta_rank.get(ss.eta, len(eta_rank)), ss.eta,
+                 int(rep.group(1)) if rep else -1, f.name)
         campaigns.append((order, _campaign_products(ss, y0_list, alpha_list)))
     campaigns.sort(key=lambda c: c[0])
     estimates: list[Estimate] = []
@@ -489,7 +502,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     export_csv(estimates, est_path)
     q_path = out_dir / "quantiles.csv"
     _write_quantiles(q_path, quantile_rows)
-    echo = {"samples": [order[2] for order, _ in campaigns], "y0_list": y0_list, "alpha_list": alpha_list}
+    echo = {"samples": [order[-1] for order, _ in campaigns], "y0_list": y0_list, "alpha_list": alpha_list}
     _write_manifest(out_dir, "analyze", echo, [est_path, q_path])
     print(f"analysis complete: estimates for {len(files)} sample files in {out_dir}")
     return EXIT_OK

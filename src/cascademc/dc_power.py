@@ -48,7 +48,8 @@ class DispatchResult:
     """Dispatch outcome for one system state.
 
     flows has one entry per branch ordinal (0.0 for tripped branches);
-    served is per bus; generation per generator.  feas_residual is the
+    served is per bus; generation per generator.  methods names the route
+    of each island, in the order of ``islands()``.  feas_residual is the
     largest violation of balance/limit/bound constraints in MW;
     cs_residual is the largest complementary-slackness product over LP
     islands (0.0 when every island took the proportional fast path, where
@@ -60,7 +61,6 @@ class DispatchResult:
     served: np.ndarray
     generation: np.ndarray
     total_shed: float
-    islands: tuple[tuple[int, ...], ...]
     methods: tuple[str, ...]
     feas_residual: float
     cs_residual: float
@@ -72,74 +72,128 @@ def islands(net: Network, in_service: np.ndarray) -> list[np.ndarray]:
     Returns bus-position arrays, each sorted ascending, ordered by their
     smallest member.  Isolated buses form singleton islands.
     """
-    parent = list(range(net.n_buses))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    from_pos = net.from_pos
-    to_pos = net.to_pos
-    for k in np.flatnonzero(in_service):
-        ra, rb = find(int(from_pos[k])), find(int(to_pos[k]))
-        if ra != rb:
-            # attach the larger root under the smaller: island label becomes
-            # its lowest bus position, which keeps ordering deterministic
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for b in range(net.n_buses):
-        groups.setdefault(find(b), []).append(b)
-    return [np.asarray(groups[r], dtype=np.intp) for r in sorted(groups)]
+    live = np.flatnonzero(in_service)
+    label = _lowest_bus(net.n_buses, net.from_pos[live], net.to_pos[live])
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
-def _island_angles(
-    net: Network,
-    island: np.ndarray,
-    branch_idx: np.ndarray,
-    injection: np.ndarray,
+def _lowest_bus(n: int, f: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Lowest bus position in each bus's component of the graph with edges
+    (f, t), over buses 0..n-1.
+
+    Each round hooks, for every edge joining two components, the larger
+    label under the smaller, then follows pointers until every label is
+    its own root.  Labels only decrease, and a component's lowest bus
+    always keeps its own, so the rounds end with every bus labelled by
+    its component's lowest bus.
+    """
+    label = np.arange(n)
+    while True:
+        lf, lt = label[f], label[t]
+        cross = lf != lt
+        if not cross.any():
+            return label
+        lf, lt = lf[cross], lt[cross]
+        np.minimum.at(label, np.maximum(lf, lt), np.minimum(lf, lt))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def _runs(items: np.ndarray, keys: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group items by key in 0..count-1, keeping their order within a key.
+
+    Returns (grouped, at): group g is ``grouped[at[g]:at[g + 1]]``."""
+    at = np.zeros(count + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=count), out=at[1:])
+    return items[np.argsort(keys, kind="stable")], at
+
+
+class _Layout:
+    """One state's islands as arrays.
+
+    For island i: its buses are ``bus[bus_at[i]:bus_at[i + 1]]`` and its
+    in-service branches, generators and load buses are the runs of
+    ``branch``, ``gen`` and ``load`` delimited the same way, every run in
+    ascending order.  ``local`` maps a bus position to its index within
+    its island (0 = the island's lowest position, the angle reference).
+    """
+
+    def __init__(self, net: Network, in_service: np.ndarray, isl: list[np.ndarray]):
+        self.count = count = len(isl)
+        sizes = np.fromiter(map(len, isl), dtype=np.intp, count=count)
+        self.bus = np.concatenate(isl)
+        self.bus_at = np.zeros(count + 1, dtype=np.intp)
+        np.cumsum(sizes, out=self.bus_at[1:])
+        label = np.empty(net.n_buses, dtype=np.intp)
+        label[self.bus] = np.repeat(np.arange(count), sizes)
+        self.local = np.empty(net.n_buses, dtype=np.intp)
+        self.local[self.bus] = np.arange(net.n_buses) - np.repeat(self.bus_at[:-1], sizes)
+        live = np.flatnonzero(in_service)
+        self.branch, self.branch_at = _runs(live, label[net.from_pos[live]], count)
+        self.gen, self.gen_at = _runs(
+            np.arange(net.gen_pos.size), label[net.gen_pos], count
+        )
+        loaded = np.flatnonzero(net.load > 0.0)
+        self.load, self.load_at = _runs(loaded, label[loaded], count)
+
+    def buses(self, i: int) -> np.ndarray:
+        return self.bus[self.bus_at[i] : self.bus_at[i + 1]]
+
+    def branches(self, i: int) -> np.ndarray:
+        return self.branch[self.branch_at[i] : self.branch_at[i + 1]]
+
+    def gens(self, i: int) -> np.ndarray:
+        return self.gen[self.gen_at[i] : self.gen_at[i + 1]]
+
+    def loads(self, i: int) -> np.ndarray:
+        return self.load[self.load_at[i] : self.load_at[i + 1]]
+
+
+def _island_flows(
+    f: np.ndarray,
+    t: np.ndarray,
+    x: np.ndarray,
+    *,
+    injection: np.ndarray | None = None,
+    theta: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve B * theta = injection on one island, reference at the island's
-    lowest-position bus (positions follow id order).  Returns theta for the
-    island's buses, reference fixed at zero."""
-    nb = island.size
-    theta = np.zeros(nb)
-    if nb == 1 or branch_idx.size == 0:
-        return theta
-    local = {int(b): i for i, b in enumerate(island)}
-    B = np.zeros((nb, nb))
-    for k in branch_idx:
-        f = local[int(net.from_pos[k])]
-        t = local[int(net.to_pos[k])]
-        b = 1.0 / net.reactance[k]
-        B[f, f] += b
-        B[t, t] += b
-        B[f, t] -= b
-        B[t, f] -= b
-    # ground the reference bus (local index 0 = lowest position in island)
-    Bred = B[1:, 1:]
-    pred = injection[island][1:]
-    try:
-        theta[1:] = scipy.linalg.solve(Bred, pred, assume_a="pos")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise StructuralError(f"singular island system: {exc}") from None
-    return theta
+    """Branch flows ``(theta[f] - theta[t]) / x`` of one island.
+
+    f and t hold the local bus index of each branch's ends and x its
+    reactance, in ascending branch order.  Without theta, solves
+    B * theta = injection (injection over the island's buses in local
+    order) with the reference, local index 0, fixed at zero.  B is summed
+    entry by entry in branch order, [ff, tt, ft, tf] per branch.
+    """
+    if theta is None:
+        nb = injection.size
+        theta = np.zeros(nb)
+        if nb > 1 and x.size:
+            b = 1.0 / x
+            B = np.zeros((nb, nb))
+            np.add.at(
+                B,
+                (np.column_stack((f, t, f, t)).ravel(), np.column_stack((f, t, t, f)).ravel()),
+                np.column_stack((b, b, -b, -b)).ravel(),
+            )
+            try:
+                theta[1:] = scipy.linalg.solve(B[1:, 1:], injection[1:], assume_a="pos")
+            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+                raise StructuralError(f"singular island system: {exc}") from None
+    return (theta[f] - theta[t]) / x
 
 
-def _branches_by_island(
-    net: Network, in_service: np.ndarray, isl: list[np.ndarray]
-) -> list[np.ndarray]:
-    root = np.empty(net.n_buses, dtype=np.intp)
-    for gi, members in enumerate(isl):
-        root[members] = gi
-    out: list[list[int]] = [[] for _ in isl]
-    for k in np.flatnonzero(in_service):
-        out[root[net.from_pos[k]]].append(int(k))
-    return [np.asarray(v, dtype=np.intp) for v in out]
+def _branch_ends(net: Network, lay: _Layout, branch_idx: np.ndarray):
+    """Local end indices and reactances of an island's branches."""
+    return (
+        lay.local[net.from_pos[branch_idx]],
+        lay.local[net.to_pos[branch_idx]],
+        net.reactance[branch_idx],
+    )
 
 
 def dc_flow(
@@ -161,93 +215,79 @@ def dc_flow(
         raise ValueError(
             f"injection must have shape ({net.n_buses},), got {injection.shape}"
         )
-    isl = islands(net, in_service)
-    by_island = _branches_by_island(net, in_service, isl)
+    lay = _Layout(net, in_service, islands(net, in_service))
     flows = np.zeros(net.n_branches)
     scale = max(1.0, float(np.abs(injection).max(initial=0.0)))
-    for members, branch_idx in zip(isl, by_island):
+    for i in range(lay.count):
+        members = lay.buses(i)
         imbalance = abs(math.fsum(injection[members].tolist()))
         if imbalance > balance_tol * scale:
             raise ValueError(
                 f"injections do not balance on island starting at bus position "
                 f"{int(members[0])}: residual {imbalance:g} MW"
             )
-        theta = _island_angles(net, members, branch_idx, injection)
-        if branch_idx.size:
-            local = {int(b): i for i, b in enumerate(members)}
-            for k in branch_idx:
-                f = local[int(net.from_pos[k])]
-                t = local[int(net.to_pos[k])]
-                flows[k] = (theta[f] - theta[t]) / net.reactance[k]
+        branch_idx = lay.branches(i)
+        f, t, x = _branch_ends(net, lay, branch_idx)
+        flows[branch_idx] = _island_flows(f, t, x, injection=injection[members])
     return flows
 
 
 def _island_lp(
-    net: Network,
-    island: np.ndarray,
-    branch_idx: np.ndarray,
-    gen_idx: np.ndarray,
-    load_idx: np.ndarray,
+    nb: int,
+    f: np.ndarray,
+    t: np.ndarray,
+    x: np.ndarray,
+    limit: np.ndarray,
+    gen_bus: np.ndarray,
+    gen_cap: np.ndarray,
+    load_bus: np.ndarray,
+    load: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Vertex-optimal minimum-shed dispatch for one island.
 
-    Returns (flows over branch_idx, generation over gen_idx, served over
-    load_idx, cs_residual)."""
-    nb = island.size
-    ng = gen_idx.size
-    nl = load_idx.size
-    nbr = branch_idx.size
-    local = {int(b): i for i, b in enumerate(island)}
+    Variables are the nb local bus angles, then generation, then served
+    load.  Branches come as in ``_island_flows``, with their limits;
+    gen_bus and load_bus are local bus indices, gen_cap and load their
+    upper bounds.  Returns (flows, generation, served, cs_residual)."""
+    ng = gen_bus.size
+    nl = load_bus.size
+    nbr = x.size
     nvar = nb + ng + nl
+    b = 1.0 / x
 
-    rows, cols, vals = [], [], []
-    for j, k in enumerate(branch_idx):
-        f = local[int(net.from_pos[k])]
-        t = local[int(net.to_pos[k])]
-        b = 1.0 / net.reactance[k]
-        rows += [f, f, t, t]
-        cols += [f, t, t, f]
-        vals += [b, -b, b, -b]
-    for j, g in enumerate(gen_idx):
-        rows.append(local[int(net.gen_pos[g])])
-        cols.append(nb + j)
-        vals.append(-1.0)
-    for j, b_pos in enumerate(load_idx):
-        rows.append(local[int(b_pos)])
-        cols.append(nb + ng + j)
-        vals.append(1.0)
+    # per branch, in branch order: A_eq entries (f,f) (f,t) (t,t) (t,f);
+    # A_ub rows 2j (+flow) and 2j+1 (-flow)
     A_eq = scipy.sparse.coo_matrix(
-        (vals, (rows, cols)), shape=(nb, nvar)
+        (
+            np.concatenate((np.column_stack((b, -b, b, -b)).ravel(),
+                            np.full(ng, -1.0), np.ones(nl))),
+            (
+                np.concatenate((np.column_stack((f, f, t, t)).ravel(), gen_bus, load_bus)),
+                np.concatenate((np.column_stack((f, t, t, f)).ravel(),
+                                np.arange(nb, nvar))),
+            ),
+        ),
+        shape=(nb, nvar),
     ).tocsr()
     b_eq = np.zeros(nb)
-
-    rows_ub, cols_ub, vals_ub = [], [], []
-    b_ub = np.empty(2 * nbr)
-    r = 0
-    for j, k in enumerate(branch_idx):
-        f = local[int(net.from_pos[k])]
-        t = local[int(net.to_pos[k])]
-        b = 1.0 / net.reactance[k]
-        lim = net.flow_limit[k]
-        rows_ub += [r, r, r + 1, r + 1]
-        cols_ub += [f, t, f, t]
-        vals_ub += [b, -b, -b, b]
-        b_ub[r] = lim
-        b_ub[r + 1] = lim
-        r += 2
     A_ub = scipy.sparse.coo_matrix(
-        (vals_ub, (rows_ub, cols_ub)), shape=(2 * nbr, nvar)
+        (
+            np.column_stack((b, -b, -b, b)).ravel(),
+            (np.repeat(np.arange(2 * nbr), 2), np.column_stack((f, t, f, t)).ravel()),
+        ),
+        shape=(2 * nbr, nvar),
     ).tocsr()
+    b_ub = np.repeat(limit, 2)
 
     c = np.zeros(nvar)
     c[nb + ng :] = -1.0
 
-    bounds: list[tuple[float | None, float | None]] = [(None, None)] * nb
+    bounds = np.empty((nvar, 2))
+    bounds[:nb] = (-np.inf, np.inf)
     bounds[0] = (0.0, 0.0)  # reference angle
-    for g in gen_idx:
-        bounds.append((0.0, float(net.gen_cap[g])))
-    for b_pos in load_idx:
-        bounds.append((0.0, float(net.load[b_pos])))
+    bounds[nb:, 0] = 0.0
+    bounds[nb : nb + ng, 1] = gen_cap
+    bounds[nb + ng :, 1] = load
 
     # dual simplex gives vertex solutions (wanted: they expose at-limit
     # branches), but can stall with an "Unknown" model status on rare
@@ -275,14 +315,9 @@ def _island_lp(
     if not res.success:
         raise DispatchError(f"dispatch LP failed: status {res.status}: {res.message}")
 
-    theta = res.x[:nb]
+    flows = _island_flows(f, t, x, theta=res.x[:nb])
     gen = res.x[nb : nb + ng]
     served = res.x[nb + ng :]
-    flows = np.empty(nbr)
-    for j, k in enumerate(branch_idx):
-        f = local[int(net.from_pos[k])]
-        t = local[int(net.to_pos[k])]
-        flows[j] = (theta[f] - theta[t]) / net.reactance[k]
 
     # complementary slackness certificate: marginal * slack for every
     # inequality row and active bound
@@ -290,8 +325,7 @@ def _island_lp(
     if nbr:
         slack = res.ineqlin.residual
         cs = float(np.abs(res.ineqlin.marginals * slack).max(initial=0.0))
-    lb = np.array([lo if lo is not None else -np.inf for lo, _ in bounds])
-    ub = np.array([hi if hi is not None else np.inf for _, hi in bounds])
+    lb, ub = bounds.T
     with np.errstate(invalid="ignore"):
         lo_gap = np.where(np.isfinite(lb), res.x - lb, 0.0)
         hi_gap = np.where(np.isfinite(ub), ub - res.x, 0.0)
@@ -312,82 +346,69 @@ def dispatch(net: Network, in_service: np.ndarray | None = None) -> DispatchResu
         raise ValueError(
             f"in_service must have shape ({net.n_branches},), got {in_service.shape}"
         )
-    isl = islands(net, in_service)
-    by_island = _branches_by_island(net, in_service, isl)
-    gen_island = np.empty(len(net.generators), dtype=np.intp)
-    root = np.empty(net.n_buses, dtype=np.intp)
-    for gi, members in enumerate(isl):
-        root[members] = gi
-    if len(net.generators):
-        gen_island = root[net.gen_pos]
+    lay = _Layout(net, in_service, islands(net, in_service))
+    load, gen_cap, gen_pos = net.load, net.gen_cap, net.gen_pos
 
     flows = np.zeros(net.n_branches)
     served = np.zeros(net.n_buses)
-    generation = np.zeros(len(net.generators))
-    methods: list[str] = []
+    generation = np.zeros(gen_cap.size)
+    methods = ["trivial"] * lay.count
     cs_residual = 0.0
 
-    for gi, (members, branch_idx) in enumerate(zip(isl, by_island)):
-        gen_idx = np.flatnonzero(gen_island == gi) if len(net.generators) else \
-            np.empty(0, dtype=np.intp)
-        loads = net.load[members]
-        load_idx = members[loads > 0.0]
-        L = math.fsum(net.load[load_idx].tolist())
-        C = math.fsum(net.gen_cap[gen_idx].tolist())
+    # an island without a load bus or a generator has target 0: trivial
+    for i in np.flatnonzero((np.diff(lay.load_at) > 0) & (np.diff(lay.gen_at) > 0)).tolist():
+        gen_idx = lay.gens(i)
+        load_idx = lay.loads(i)
+        L = math.fsum(load[load_idx].tolist())
+        C = math.fsum(gen_cap[gen_idx].tolist())
         target = min(L, C)
         if target <= 0.0:
-            methods.append("trivial")
             continue
+        nb = lay.buses(i).size
+        branch_idx = lay.branches(i)
+        f, t, x = _branch_ends(net, lay, branch_idx)
+        limit = net.flow_limit[branch_idx]
+        gen_bus = lay.local[gen_pos[gen_idx]]
+        load_bus = lay.local[load_idx]
 
         # proportional fast path: feasible zero-slack candidate at the
         # island's shed lower bound max(0, L - C)
-        gen_prop = net.gen_cap[gen_idx] * (target / C)
-        served_prop = net.load[load_idx] * (target / L)
-        injection = np.zeros(net.n_buses)
-        np.add.at(injection, net.gen_pos[gen_idx], gen_prop)
-        injection[load_idx] -= served_prop
-        theta = _island_angles(net, members, branch_idx, injection)
-        ok = True
-        if branch_idx.size:
-            local = {int(b): i for i, b in enumerate(members)}
-            fl = np.empty(branch_idx.size)
-            for j, k in enumerate(branch_idx):
-                f = local[int(net.from_pos[k])]
-                t = local[int(net.to_pos[k])]
-                fl[j] = (theta[f] - theta[t]) / net.reactance[k]
-            ok = bool(np.all(np.abs(fl) <= net.flow_limit[branch_idx]))
-        if ok:
-            if branch_idx.size:
-                flows[branch_idx] = fl
+        gen_prop = gen_cap[gen_idx] * (target / C)
+        served_prop = load[load_idx] * (target / L)
+        injection = np.zeros(nb)
+        np.add.at(injection, gen_bus, gen_prop)
+        injection[load_bus] -= served_prop
+        fl = _island_flows(f, t, x, injection=injection)
+        if np.all(np.abs(fl) <= limit):
+            flows[branch_idx] = fl
             generation[gen_idx] = gen_prop
             served[load_idx] = served_prop
-            methods.append("proportional")
+            methods[i] = "proportional"
             continue
 
         fl, gen_lp, served_lp, cs = _island_lp(
-            net, members, branch_idx, gen_idx, load_idx
+            nb, f, t, x, limit, gen_bus, gen_cap[gen_idx], load_bus, load[load_idx]
         )
         flows[branch_idx] = fl
         generation[gen_idx] = gen_lp
         served[load_idx] = served_lp
         cs_residual = max(cs_residual, cs)
-        methods.append("lp")
+        methods[i] = "lp"
 
-    total_shed = math.fsum(net.load.tolist()) - math.fsum(served.tolist())
-    feas = _feasibility_residual(net, in_service, flows, served, generation, isl)
+    total_shed = math.fsum(load.tolist()) - math.fsum(served.tolist())
+    feas = _feasibility_residual(net, in_service, flows, served, generation)
     return DispatchResult(
         flows=flows,
         served=served,
         generation=generation,
         total_shed=total_shed,
-        islands=tuple(tuple(int(b) for b in members) for members in isl),
         methods=tuple(methods),
         feas_residual=feas,
         cs_residual=cs_residual,
     )
 
 
-def _feasibility_residual(net, in_service, flows, served, generation, isl):
+def _feasibility_residual(net, in_service, flows, served, generation):
     """Largest constraint violation in MW (balance, limits, bounds)."""
     res = 0.0
     injection = np.zeros(net.n_buses)

@@ -221,9 +221,12 @@ def test_analyze_recomputes_at_new_thresholds(tmp_path):
     assert manifest["command"] == "analyze"
 
 
-@pytest.mark.parametrize("over", [dict(eta_list=[2.0, 10.0]), dict(eta_list=[1.0], m_max=11)])
+@pytest.mark.parametrize("over", [
+    dict(eta_list=[2.0, 10.0]), dict(eta_list=[1.0], m_max=11), dict(eta_list=[2.0, 1.0]),
+])
 def test_analyze_orders_campaigns_like_run(tmp_path, over):
-    # file names sort eta10 before eta2 and rep10 before rep2
+    # file names sort eta10 before eta2 and rep10 before rep2; a descending
+    # eta_list is taken from the run's manifest
     out = run_study(tmp_path, n_samples=16, **over)
     dest = tmp_path / "analysis"
     assert main([

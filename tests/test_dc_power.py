@@ -1,9 +1,16 @@
 """Dispatch and flow tests pinned to hand-computed contingency tables."""
 
+import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from cascademc import (
     Branch,
@@ -14,9 +21,10 @@ from cascademc import (
     dc_flow,
     dispatch,
     islands,
+    load_case,
     severity,
 )
-from cascademc.fixtures import fixture_names, load_fixture
+from cascademc.fixtures import case_path, fixture_names, load_fixture
 
 
 FIXTURES = {name: load_fixture(name) for name in fixture_names()}
@@ -125,6 +133,39 @@ def test_islands_partition():
     assert [m.tolist() for m in isl_none] == [[0], [1], [2], [3]]
 
 
+def reference_islands(net, in_service):
+    """Union-find over the in-service branches, each root the lowest bus
+    position of its island."""
+    parent = list(range(net.n_buses))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for k in np.flatnonzero(in_service):
+        ra, rb = find(int(net.from_pos[k])), find(int(net.to_pos[k]))
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for b in range(net.n_buses):
+        groups.setdefault(find(b), []).append(b)
+    return [groups[r] for r in sorted(groups)]
+
+
+@pytest.mark.parametrize("name", ["bridge6", "case300"])
+def test_islands_match_reference_union_find(name):
+    net = FIXTURES[name].network if name in FIXTURES else load_case(case_path(name))
+    rng = np.random.default_rng(0x15)
+    for p_out in (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0):
+        for _ in range(10):
+            in_service = rng.random(net.n_branches) >= p_out
+            isl = islands(net, in_service)
+            assert all(m.dtype == np.intp for m in isl)
+            assert [m.tolist() for m in isl] == reference_islands(net, in_service)
+
+
 def test_islanded_generation_cannot_serve_remote_load():
     net = FIXTURES["ring3"].network
     res = dispatch(net, np.zeros(net.n_branches, dtype=bool))
@@ -205,3 +246,69 @@ def test_shed_never_negative_and_served_bounded():
         assert res.total_shed >= -1e-12
         assert np.all(res.served >= -1e-9)
         assert np.all(res.served <= net.load + 1e-9)
+
+
+# sha256 digests of dispatch() over case300 states: the bytes of flows,
+# served and generation, repr(total_shed) and methods, state by state.
+# Recorded from the per-branch loop implementation of dc_power with numpy
+# 2.4.6, scipy 1.17.1 (OpenBLAS 0.3.31) on an x86-64 (Haswell kernels) CPU
+# and one BLAS thread.  The angle solve rounds differently under another
+# BLAS thread count, so the digests are computed in a child process pinned
+# to one thread; other library builds or CPU kernels may round differently
+# again, so the test runs only on the recorded versions.
+GOLDEN_VERSIONS = ("2.4.6", "1.17.1")
+GOLDEN_DIGESTS = {
+    "n-1": "e4ee1fb070e5b4282d21b097c4c8ba7362d7df1728c99b9aaf6ec8356081d7f4",
+    "n-k": "b80560e0b9514eca6c179771bbe7b8bc752825308213e72e57b92bfb16a966a6",
+}
+
+
+def golden_states(net):
+    """Every N-1 state, then 30 seeded N-k states with k in 2..29."""
+    n1 = [svc(net, k) for k in range(net.n_branches)]
+    rng = np.random.default_rng(20261020)
+    nk = []
+    for _ in range(30):
+        mask = np.ones(net.n_branches, dtype=bool)
+        mask[rng.choice(net.n_branches, size=int(rng.integers(2, 30)), replace=False)] = False
+        nk.append(mask)
+    return {"n-1": n1, "n-k": nk}
+
+
+def dispatch_digests():
+    net = load_case(case_path("case300"))
+    out = {}
+    for key, states in golden_states(net).items():
+        h = hashlib.sha256()
+        for mask in states:
+            res = dispatch(net, mask)
+            for arr in (res.flows, res.served, res.generation):
+                h.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            h.update(repr(res.total_shed).encode())
+            h.update(repr(res.methods).encode())
+        out[key] = h.hexdigest()
+    return out
+
+
+@pytest.mark.skipif(
+    (np.__version__, scipy.__version__) != GOLDEN_VERSIONS,
+    reason="golden dispatch digests were recorded with numpy %s, scipy %s" % GOLDEN_VERSIONS,
+)
+def test_dispatch_bytes_match_golden_digests():
+    import cascademc
+
+    src = str(Path(cascademc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, __file__],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == GOLDEN_DIGESTS
+
+
+if __name__ == "__main__":
+    print(json.dumps(dispatch_digests()))
